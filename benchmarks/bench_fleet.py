@@ -28,11 +28,6 @@ Measures what the multi-process fleet buys and what recovery costs:
   attach/build/warm from the per-slot counter deltas on ``GET
   /fleet``, and the cell ends with a leaked-segment sweep.  Both
   gates are core-count-independent, so they hold on a 1-core runner.
-* ``plan_cache`` — cross-worker reuse through the machine-wide plan
-  cache: one full L2S session per slot over the same instance and
-  seed, so the second slot rides the first slot's published entropy
-  tables.  The aggregated ``GET /fleet`` counters must show shared-
-  tier hits > 0 and the cell ends with a ``repro_plan_*`` leak sweep.
 
 Every timed session's final predicate is parity-checked against the
 in-process ``run_inference`` result before timings are trusted.
@@ -60,15 +55,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import PerfectOracle, SignatureIndex, index_shm
-from repro.core.serialize import instance_to_dict
 from repro.data import generate_tpch, tpch_workloads
-from repro.data.synthetic import SyntheticConfig, generate_synthetic
-from repro.service import (
-    PLAN_SEGMENT_PREFIX,
-    FleetConfig,
-    FleetServer,
-    ServiceClient,
-)
+from repro.service import FleetConfig, FleetServer, ServiceClient
 
 from bench_util import (
     bench_meta,
@@ -113,11 +101,6 @@ SHARED_MEMORY_RATIO_MAX_SMOKE = 3.0
 #: floor is relaxed accordingly.
 SHARED_ATTACH_SPEEDUP_FLOOR = 5.0
 SHARED_ATTACH_SPEEDUP_FLOOR_SMOKE = 1.5
-#: The plan-cache cell drives one full adversarial L2S session per
-#: slot over one synthetic instance; sizes keep the HTTP round-trips
-#: bounded while leaving enough states for cross-worker reuse.
-PLAN_CACHE_FLEET_CONFIG = SyntheticConfig(3, 3, 240, 40)
-PLAN_CACHE_FLEET_CONFIG_SMOKE = SyntheticConfig(3, 3, 60, 10)
 
 
 def _workload_oracle():
@@ -454,115 +437,6 @@ def bench_shared_index(workers: int, seeds: int, db_dir: str, smoke: bool) -> di
     return cell
 
 
-def _plan_segments() -> set[str]:
-    """Current ``repro_plan_*`` names in ``/dev/shm`` (empty off-Linux)."""
-    directory = "/dev/shm"
-    if not os.path.isdir(directory):
-        return set()
-    return {
-        entry
-        for entry in os.listdir(directory)
-        if entry.startswith(PLAN_SEGMENT_PREFIX)
-    }
-
-
-def bench_plan_cache_fleet(db_dir: str, smoke: bool) -> dict:
-    """Cross-worker entropy-table reuse through the plan cache.
-
-    One full adversarial L2S session per slot over the same inline
-    instance and seed: identical trajectories, so every state the
-    second slot scores was already published by the first.  The
-    question sequences are asserted identical before the counters are
-    trusted, and the cell ends with a ``repro_plan_*`` leak sweep."""
-    config = (
-        PLAN_CACHE_FLEET_CONFIG_SMOKE if smoke else PLAN_CACHE_FLEET_CONFIG
-    )
-    supported = index_shm.shared_memory_available()
-    cell: dict = {
-        "config": config.label,
-        "workers": 2,
-        "strategy": "L2S",
-        "oracle": "adversarial (all-negative)",
-        "supported": supported,
-    }
-    if not supported:
-        print(
-            "[bench] shared-memory unavailable; plan_cache cell skipped",
-            flush=True,
-        )
-        return cell
-    pre_existing = _plan_segments()
-    instance = generate_synthetic(config, seed=7)
-    snapshot = {
-        "kind": "session_snapshot",
-        "version": 1,
-        "instance": {"inline": instance_to_dict(instance)},
-        "strategy": "L2S",
-        "seed": 0,
-        "max_questions": None,
-        "labeled": [],
-    }
-    fleet = FleetConfig(
-        store_path=os.path.join(db_dir, "plan_fleet.db"),
-        workers=2,
-        speculate=False,
-    )
-    asked: dict[int, list] = {}
-    walls: dict[int, float] = {}
-    with FleetServer(fleet) as server:
-        with ServiceClient(
-            server.host, server.port, retries=10, retry_backoff=0.2
-        ) as client:
-            # Session ids hash uniformly over the two slots, so a
-            # handful of creates lands each slot with overwhelming
-            # probability; extra sessions on a covered slot are left
-            # undriven.
-            for _ in range(24):
-                sid = client.resume(dict(snapshot))["session_id"]
-                slot = zlib.crc32(sid.encode("utf-8")) % 2
-                if slot in asked:
-                    continue
-                transcript = []
-                started = time.perf_counter()
-                question = client.next_question(sid)
-                while question is not None:
-                    transcript.append(
-                        [question["left"]["row"], question["right"]["row"]]
-                    )
-                    client.post_answer(sid, question["question_id"], "-")
-                    question = client.next_question(sid)
-                walls[slot] = round(time.perf_counter() - started, 4)
-                asked[slot] = transcript
-                if len(asked) == 2:
-                    break
-            payload = client.fleet()
-    assert len(asked) == 2, "24 creates never covered both slots"
-    assert asked[0] == asked[1], (
-        "identical sessions diverged across workers"
-    )
-    leaked = sorted(_plan_segments() - pre_existing)
-    counters = payload.get("plan_cache", {})
-    cell.update(
-        {
-            "questions_per_session": len(asked[0]),
-            "session_wall_seconds_by_slot": {
-                str(slot): walls[slot] for slot in sorted(walls)
-            },
-            "counters": counters,
-            "shared_hits_total": counters.get("shared_hits_total", 0),
-            "leaked_segments": leaked,
-            "parity_checked": True,
-        }
-    )
-    print(
-        f"[bench] fleet plan cache ({len(asked[0])} questions/slot): "
-        f"{cell['shared_hits_total']} cross-worker shared hits, "
-        f"{counters.get('shared_entries')} machine-wide entries",
-        flush=True,
-    )
-    return cell
-
-
 # --- harness -----------------------------------------------------------------
 
 
@@ -578,7 +452,6 @@ def run_benchmarks(smoke: bool = False) -> dict:
             db_dir=db_dir,
             smoke=smoke,
         )
-        plan_cache = bench_plan_cache_fleet(db_dir, smoke)
 
     cpu_count = scaling["cpu_count"]
     workers_max = worker_counts[-1]
@@ -615,7 +488,6 @@ def run_benchmarks(smoke: bool = False) -> dict:
         "scaling": scaling,
         "recovery": recovery,
         "shared_index": shared_index,
-        "plan_cache": plan_cache,
         "acceptance": {
             "cpu_count": cpu_count,
             "workers_max": workers_max,
@@ -659,17 +531,6 @@ def run_benchmarks(smoke: bool = False) -> dict:
             ),
             "shared_no_leaked_segments": (
                 not shared_index.get("leaked_segments", [])
-            ),
-            "plan_cache_supported": plan_cache.get("supported", False),
-            "plan_shared_hits_total": plan_cache.get(
-                "shared_hits_total", 0
-            ),
-            "plan_cross_worker_gate": (
-                not plan_cache.get("supported", False)
-                or plan_cache.get("shared_hits_total", 0) >= 1
-            ),
-            "plan_no_leaked_segments": (
-                not plan_cache.get("leaked_segments", [])
             ),
         },
     }
@@ -715,11 +576,6 @@ def main(argv=None) -> int:
             f"p95 speedup {acceptance['shared_attach_speedup_p95']}x "
             f"(floor {acceptance['shared_attach_speedup_floor']}x)"
         )
-    if acceptance["plan_cache_supported"]:
-        print(
-            f"  plan cache: {acceptance['plan_shared_hits_total']} "
-            f"cross-worker shared hits"
-        )
     gates = [
         ("scaling_gate", acceptance["scaling_gate"]),
         ("oversubscription_gate", acceptance["oversubscription_gate"]),
@@ -730,11 +586,6 @@ def main(argv=None) -> int:
         (
             "shared_no_leaked_segments",
             acceptance["shared_no_leaked_segments"],
-        ),
-        ("plan_cross_worker_gate", acceptance["plan_cross_worker_gate"]),
-        (
-            "plan_no_leaked_segments",
-            acceptance["plan_no_leaked_segments"],
         ),
     ]
     for name, ok in gates:

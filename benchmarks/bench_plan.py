@@ -677,9 +677,6 @@ def run_benchmarks(smoke: bool = False) -> dict:
             "plan_cache_local_hits": plan_cache["plan_cache"][
                 "local_hits"
             ],
-            "plan_cache_shared_hits": plan_cache["plan_cache"][
-                "shared_hits"
-            ],
             "plan_cache_computes": plan_cache["plan_cache"][
                 "computes"
             ],

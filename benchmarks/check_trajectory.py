@@ -314,19 +314,16 @@ def check_plan(report: dict, baseline: dict) -> list[Gate]:
     )
     counters = {
         name: acceptance.get(f"plan_cache_{name}")
-        for name in ("misses", "local_hits", "shared_hits", "computes")
+        for name in ("misses", "local_hits", "computes")
     }
     gates.append(
         _gate(
             "plan_cache_counter_identity",
             None not in counters.values()
             and counters["misses"]
-            == counters["local_hits"]
-            + counters["shared_hits"]
-            + counters["computes"],
+            == counters["local_hits"] + counters["computes"],
             f"misses {counters['misses']} == local "
-            f"{counters['local_hits']} + shared "
-            f"{counters['shared_hits']} + computes "
+            f"{counters['local_hits']} + computes "
             f"{counters['computes']}",
         )
     )
@@ -493,42 +490,7 @@ def check_fleet(report: dict, baseline: dict) -> list[Gate]:
             )
         )
     gates.extend(_shared_index_gates(report))
-    gates.extend(_plan_cache_fleet_gates(report))
     return gates
-
-
-def _plan_cache_fleet_gates(report: dict) -> list[Gate]:
-    """Cross-worker plan-table reuse, re-derived from the cell's own
-    aggregated counters.  Like the index plane, a platform without
-    POSIX shared memory degrades to per-process caches by design."""
-    cell = report.get("plan_cache", {})
-    if not cell.get("supported", False):
-        return [
-            _gate(
-                "plan_cache_supported",
-                True,
-                "shared memory unavailable on this runner; plan tier "
-                "degraded to per-process caches (by design)",
-            )
-        ]
-    shared_hits = cell.get("counters", {}).get("shared_hits_total", 0)
-    leaked = cell.get("leaked_segments", None)
-    return [
-        _gate(
-            "plan_cross_worker_hits",
-            bool(cell.get("parity_checked"))
-            and shared_hits >= 1,
-            f"{shared_hits} cross-worker shared-tier hits over "
-            f"{cell.get('questions_per_session')} identical questions "
-            f"per slot (need >= 1, parity-checked)",
-        ),
-        _gate(
-            "plan_no_leaked_segments",
-            leaked == [],
-            f"plan segments left in /dev/shm after the fleet closed: "
-            f"{leaked}",
-        ),
-    ]
 
 
 def _shared_index_gates(report: dict) -> list[Gate]:

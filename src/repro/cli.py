@@ -309,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "memoise planner entropy tables per process and — when a "
-            "--store is present and /dev/shm is usable — share them "
-            "machine-wide, so sessions at the same state reuse one "
+            "memoise planner entropy tables in each server process, so "
+            "sessions of that process at the same state reuse one "
             "kernel run; question sequences are identical either way "
             "(default: on)"
         ),
@@ -500,7 +499,6 @@ def manager_from_args(args: argparse.Namespace):
         IndexCache,
         SessionManager,
         SharedIndexPlane,
-        SharedPlanTier,
         SqliteSessionStore,
     )
 
@@ -518,21 +516,6 @@ def manager_from_args(args: argparse.Namespace):
         )
         if plane is not None:
             plane.reap()
-
-    # The plan cache's shared tier piggybacks on the store file for its
-    # registry, like the index plane; without a store (or /dev/shm) the
-    # cache still runs, per-process only.
-    plan_cache = getattr(args, "plan_cache", True)
-    shared_plan = None
-    if plan_cache and args.store is not None:
-        lease_ttl = getattr(args, "lease_ttl", 10.0)
-        shared_plan = SharedPlanTier.if_available(
-            str(args.store),
-            f"solo-{os.getpid()}",
-            ttl_seconds=lease_ttl if lease_ttl > 0 else 10.0,
-        )
-        if shared_plan is not None:
-            shared_plan.reap()
 
     # The cache (and its builder, which carries --shard-rows) is built
     # here because --index-cache-size is a cache knob; the manager only
@@ -556,9 +539,8 @@ def manager_from_args(args: argparse.Namespace):
         kernel_batch=args.kernel_batch,
         batch_window_seconds=args.batch_window,
         batch_max=args.batch_max,
-        plan_cache=plan_cache,
+        plan_cache=getattr(args, "plan_cache", True),
         plan_cache_entries=getattr(args, "plan_cache_entries", 1024),
-        shared_plan=shared_plan,
         store=(
             SqliteSessionStore(str(args.store))
             if args.store is not None
@@ -628,15 +610,25 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .service import ServiceApp, run_server
 
     if args.workers > 1:
         return _cmd_serve_fleet(args)
     manager = manager_from_args(args)
+
+    async def serve() -> None:
+        # SIGTERM stops the server like Ctrl-C does: the serving task is
+        # cancelled and shutdown runs the same cleanup below.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+        await run_server(ServiceApp(manager), args.host, args.port)
+
     try:
-        asyncio.run(run_server(ServiceApp(manager), args.host, args.port))
-    except KeyboardInterrupt:
+        asyncio.run(serve())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("\nshutting down")
     finally:
         # The CLI created the manager (and through it the store), so it

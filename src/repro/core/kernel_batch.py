@@ -379,7 +379,7 @@ class KernelBatchScheduler:
         #: Plan-cache write-through: when set, every job that completes
         #: with a ``plan_key`` hands its table to ``plan_sink(key,
         #: table)`` — batched *and* fallback members alike, so one batch
-        #: publishes every member's table.  Results are set before the
+        #: installs every member's table.  Results are set before the
         #: sink runs; a sink failure never reaches the waiter.
         self.plan_sink: Callable[[Any, dict[int, Entropy]], None] | None = (
             None
@@ -535,7 +535,7 @@ class KernelBatchScheduler:
             return
         try:
             sink(job.plan_key, table)
-        except Exception:  # noqa: BLE001 - a cache/registry failure
+        except Exception:  # noqa: BLE001 - a cache failure
             # must never surface to (or stall) the waiting session.
             with self._lock:
                 self._plan_sink_errors += 1

@@ -55,7 +55,6 @@ from .events import (
 from .fleet import Fleet, FleetConfig, FleetServer, WorkerHandle
 from .index_cache import BuildStatus, IndexCache, instance_fingerprint
 from .manager import ManagedSession, SessionManager, Speculation
-from .plan_registry import PLAN_SEGMENT_PREFIX, SharedPlanTier
 from .protocol import (
     BadRequest,
     CapacityExceeded,
@@ -111,7 +110,6 @@ __all__ = [
     "ManagedSession",
     "MemorySessionStore",
     "NotFound",
-    "PLAN_SEGMENT_PREFIX",
     "PublishTicket",
     "SegmentInfo",
     "ServiceApp",
@@ -123,7 +121,6 @@ __all__ = [
     "SessionManager",
     "SessionStore",
     "SharedIndexPlane",
-    "SharedPlanTier",
     "ShmRegistry",
     "ShmRegistryError",
     "Speculation",

@@ -89,10 +89,8 @@ class FleetConfig:
     #: (see :mod:`repro.service.shm_registry`).  Workers degrade to
     #: private builds when POSIX shared memory is unavailable.
     shared_index: bool = True
-    #: Memoise planner entropy tables per worker and share them
-    #: machine-wide through ``/dev/shm`` (see
-    #: :mod:`repro.service.plan_registry`): each (index, state, depth)
-    #: table is computed by one worker and attached by the rest.
+    #: Memoise planner entropy tables in each worker's own LRU (see
+    #: :mod:`repro.core.plan_cache`); workers do not share tables.
     plan_cache: bool = True
     plan_cache_entries: int = 1024
     spawn_timeout: float = 60.0
@@ -127,7 +125,6 @@ def manager_from_worker_config(config: dict[str, Any]):
     in-worker stack inside one process (same store semantics, no
     subprocess)."""
     from .manager import SessionManager
-    from .plan_registry import SharedPlanTier
     from .shm_registry import SharedIndexPlane
     from .store import SqliteSessionStore
 
@@ -145,18 +142,6 @@ def manager_from_worker_config(config: dict[str, Any]):
             # Claim anything a crashed predecessor left behind before
             # the first build races it.
             plane.reap()
-    plan_cache = config.get("plan_cache", True)
-    shared_plan = None
-    if plan_cache:
-        # Same degradation story as the index plane: no /dev/shm means
-        # the plan cache runs per-process (local LRU only).
-        shared_plan = SharedPlanTier.if_available(
-            config["store_path"],
-            config["owner_id"],
-            ttl_seconds=config.get("lease_ttl_seconds", 10.0),
-        )
-        if shared_plan is not None:
-            shared_plan.reap()
     return SessionManager(
         max_sessions=config.get("max_sessions", 256),
         ttl_seconds=config.get("ttl_seconds", 3600.0),
@@ -168,9 +153,8 @@ def manager_from_worker_config(config: dict[str, Any]):
         owner_id=config["owner_id"],
         lease_ttl_seconds=config.get("lease_ttl_seconds", 10.0),
         shared_index=plane,
-        plan_cache=plan_cache,
+        plan_cache=config.get("plan_cache", True),
         plan_cache_entries=config.get("plan_cache_entries", 1024),
-        shared_plan=shared_plan,
     )
 
 

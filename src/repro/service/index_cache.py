@@ -166,7 +166,7 @@ class IndexCache:
         return self._builder
 
     @property
-    def shared_plane(self):
+    def index_plane(self):
         """The shared-memory index plane, if the cache has one.
 
         With a plane, a miss first tries to *attach* a sibling

@@ -137,6 +137,17 @@ def _process_rss_bytes() -> int | None:
         return None
 
 
+def _on_event_loop() -> bool:
+    """True inside a running event loop — a synchronous propose of an
+    embedder-style call-in, which must never block on a batch window
+    (``propose_question_async`` resolves tables off-loop instead)."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
 @dataclass(slots=True)
 class _SpeculativeBranch:
     """One node of the speculation tree: the worker job precomputing
@@ -260,7 +271,6 @@ class SessionManager:
         batch_max: int = 64,
         plan_cache: bool = True,
         plan_cache_entries: int = 1024,
-        shared_plan=None,
         store: SessionStore | None = None,
         checkpoint_every: int = 16,
         owner_id: str | None = None,
@@ -339,25 +349,18 @@ class SessionManager:
             if kernel_batch
             else None
         )
-        #: Machine-wide plan cache (None when disabled): memoised
+        #: Per-process plan cache (None when disabled): memoised
         #: entropy tables keyed by canonical state key, consulted by the
         #: entropy router before any kernel runs and written through
         #: from both the per-session path and the batch scheduler.  The
         #: rng is untouched by a hit — tie-breaking still draws from the
         #: session's own rng over the cached score vector — so question
         #: sequences are bit-for-bit identical with the cache on or off.
-        if shared_plan is not None and not plan_cache:
-            raise ValueError(
-                "shared_plan requires plan_cache=True (the shared tier "
-                "backs the per-process plan cache)"
-            )
         self.plan_cache = (
-            PlanCache(plan_cache_entries, shared=shared_plan)
-            if plan_cache
-            else None
+            PlanCache(plan_cache_entries) if plan_cache else None
         )
         if self._batcher is not None and self.plan_cache is not None:
-            # A flushed batch publishes every member's table (batched
+            # A flushed batch installs every member's table (batched
             # and fallback members alike).
             self._batcher.plan_sink = self.plan_cache.install
         self.store = store
@@ -502,13 +505,9 @@ class SessionManager:
         # After the build pool: no in-flight build can race the plane's
         # registry teardown.  Releases this worker's shared-segment refs
         # and publish leases so siblings (or the reaper) can reclaim.
-        plane = self.index_cache.shared_plane
+        plane = self.index_cache.index_plane
         if plane is not None:
             plane.close()
-        # Likewise for the plan cache's shared tier: releases this
-        # worker's plan-segment refs and publish leases.
-        if self.plan_cache is not None:
-            self.plan_cache.close()
 
     # --- lifecycle -----------------------------------------------------------
 
@@ -691,32 +690,21 @@ class SessionManager:
         block the calling worker thread on the shared batch for ``key``
         (the batch write-through installs the result under its
         ``plan_key``); (3) compute per-session and install.  On the
-        event loop the shared-tier probe and publish are skipped so a
-        busy registry can never stall serving; a closed batcher or
+        event loop the batch is skipped so a synchronous propose never
+        blocks serving on a batch window; a closed batcher or
         cancelled flush declines (→ strategy's per-session path).
         """
         batcher = self._batcher
         plan_cache = self.plan_cache
 
         def route(planner):
-            try:
-                asyncio.get_running_loop()
-            except RuntimeError:
-                on_loop = False
-            else:
-                # Synchronous propose of an embedder-style call-in:
-                # never block the loop on a batch window or the shared
-                # registry.  propose_question_async primes off-loop.
-                on_loop = True
             plan_key = None
             if plan_cache is not None:
                 plan_key = self._plan_key(planner)
-                table = plan_cache.get(
-                    plan_key, probe_shared=not on_loop
-                )
+                table = plan_cache.get(plan_key)
                 if table is not None:
                     return table
-            if not on_loop and batcher is not None:
+            if batcher is not None and not _on_event_loop():
                 try:
                     return batcher.entropies(
                         key, planner, plan_key=plan_key
@@ -726,7 +714,7 @@ class SessionManager:
             if plan_key is None:
                 return None
             table = planner.entropies()
-            plan_cache.install(plan_key, table, publish=not on_loop)
+            plan_cache.install(plan_key, table)
             return table
 
         return route
@@ -1054,10 +1042,10 @@ class SessionManager:
         self, managed: ManagedSession
     ) -> Question | None:
         """Server path for ``GET /question``: when the proposal will
-        run an entropy kernel, the table is resolved *off-loop* first —
-        a plan-cache probe (both tiers), then the shared batcher
-        (coalescing with other sessions' concurrent proposals), then a
-        per-session compute — and primed into the strategy so the
+        run an entropy kernel, the table is resolved first — a
+        plan-cache probe, then off-loop the shared batcher (coalescing
+        with other sessions' concurrent proposals) or a per-session
+        compute — and primed into the strategy so the
         ordinary synchronous path consumes it without blocking the
         event loop.  Runs under the session lock (the app holds it),
         so the state cannot move between submission and propose."""
@@ -1076,12 +1064,8 @@ class SessionManager:
             entropies = None
             source = None
             if self.plan_cache is not None:
-
-                def probe():
-                    key = self._plan_key(planner)
-                    return key, self.plan_cache.get(key)
-
-                plan_key, entropies = await self.offload(probe)
+                plan_key = self._plan_key(planner)
+                entropies = self.plan_cache.get(plan_key)
                 if entropies is not None:
                     source = "plan_cache"
             if entropies is None and self._batcher is not None:
@@ -1095,7 +1079,7 @@ class SessionManager:
                     entropies = None  # closed batcher: inline path
             elif entropies is None and plan_key is not None:
                 # Plan cache on, batcher off: run the kernel off-loop
-                # and write it through both tiers.
+                # and install it.
                 def compute(key=plan_key):
                     table = planner.entropies()
                     self.plan_cache.install(key, table)

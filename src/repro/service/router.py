@@ -417,10 +417,7 @@ class FleetRouter:
         private_total = 0
         shared_max = 0
         attach_hits = builds = publishes = 0
-        plan_local = plan_shared = plan_computes = plan_publishes = 0
-        plan_entries = 0
-        plan_ready_max = 0
-        plan_bytes_max = 0
+        plan_local = plan_computes = plan_entries = 0
         for handle, stats in gathered:
             memory = stats.get("memory") or {}
             cache = stats.get("index_cache") or {}
@@ -435,7 +432,6 @@ class FleetRouter:
                 "builds": cache.get("builds", 0),
                 "publishes": cache.get("publishes", 0),
                 "plan_local_hits": plan.get("local_hits", 0),
-                "plan_shared_hits": plan.get("shared_hits", 0),
                 "plan_computes": plan.get("computes", 0),
             }
             rss_total += int(memory.get("rss_bytes") or 0)
@@ -445,20 +441,8 @@ class FleetRouter:
             builds += int(cache.get("builds", 0))
             publishes += int(cache.get("publishes", 0))
             plan_local += int(plan.get("local_hits", 0))
-            plan_shared += int(plan.get("shared_hits", 0))
             plan_computes += int(plan.get("computes", 0))
-            plan_publishes += int(plan.get("publishes", 0))
             plan_entries += int(plan.get("entries", 0))
-            registry = (plan.get("shared") or {}).get("registry") or {}
-            # Every worker reads the same machine-wide registry: its
-            # ready-segment totals aggregate by max (count each shared
-            # entry once), not by sum.
-            plan_ready_max = max(
-                plan_ready_max, int(registry.get("ready_segments", 0))
-            )
-            plan_bytes_max = max(
-                plan_bytes_max, int(registry.get("ready_bytes", 0))
-            )
         payload["memory"] = {
             "rss_bytes_total": rss_total,
             "index_private_bytes_total": private_total,
@@ -475,12 +459,8 @@ class FleetRouter:
         }
         payload["plan_cache"] = {
             "local_hits_total": plan_local,
-            "shared_hits_total": plan_shared,
             "computes_total": plan_computes,
-            "publishes_total": plan_publishes,
             "entries_total": plan_entries,
-            "shared_entries": plan_ready_max,
-            "shared_bytes": plan_bytes_max,
         }
         return self._json(200, payload)
 

@@ -25,12 +25,6 @@ Coordination reuses the store's lease/epoch idiom (via
   aged ``repro_idx_*`` files that have no registry row at all (crashes
   in the narrow window between segment creation and registration).
 
-The registry itself is payload-agnostic: the table names and the
-segment-name prefix are constructor parameters, so the PR 9 plan cache
-(:mod:`.plan_registry`) runs the same protocol over ``plan_segments`` /
-``plan_refs`` and ``repro_plan_*`` segments without duplicating any of
-it.
-
 Unlinking a segment that a live process still maps is safe: the mapping
 (and every index view over it) survives until that process closes it.
 The reaper only reclaims the *name* and the backing pages' future.
@@ -90,17 +84,13 @@ class SegmentInfo:
     nbytes: int
 
 
-def _segment_name(
-    fingerprint: str,
-    generation: int,
-    prefix: str = index_shm.SEGMENT_PREFIX,
-) -> str:
+def _segment_name(fingerprint: str, generation: int) -> str:
     # Fingerprints may be raw cache keys (e.g. ``builtin:{"name": ...}``)
     # whose characters shm_open cannot accept, so the segment name always
     # carries a hex slug of the fingerprint rather than the fingerprint
     # itself.
     slug = hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()[:12]
-    return f"{prefix}{slug}_g{generation}"
+    return f"{index_shm.SEGMENT_PREFIX}{slug}_g{generation}"
 
 
 class ShmRegistry:
@@ -111,10 +101,6 @@ class ShmRegistry:
     fleet's shared state.  All methods are thread-safe and every write
     runs inside one BEGIN IMMEDIATE transaction with the same bounded
     busy retry as the session store (:func:`sqlite_util.run_immediate`).
-
-    ``segments_table`` / ``refs_table`` / ``segment_prefix`` select the
-    namespace: the default is the shared-index plane; the plan cache
-    passes its own so both protocols share one file without colliding.
     """
 
     BUSY_RETRIES = sqlite_util.BUSY_RETRIES
@@ -125,39 +111,19 @@ class ShmRegistry:
         *,
         busy_timeout: float = 5.0,
         clock: Callable[[], float] = time.time,
-        segments_table: str = "shm_segments",
-        refs_table: str = "shm_refs",
-        segment_prefix: str = index_shm.SEGMENT_PREFIX,
     ) -> None:
-        if not (
-            segments_table.isidentifier() and refs_table.isidentifier()
-        ):
-            raise ValueError(
-                "registry table names must be plain identifiers, got "
-                f"{segments_table!r} / {refs_table!r}"
-            )
         self.path = os.fspath(path)
         self._clock = clock
-        self._segments_table = segments_table
-        self._refs_table = refs_table
-        self._prefix = segment_prefix
         self._lock = threading.Lock()
         self._connection: sqlite3.Connection | None = (
             sqlite_util.connect_wal(self.path, busy_timeout=busy_timeout)
         )
         self._transact(self._create_tables)
 
-    @property
-    def segment_prefix(self) -> str:
-        return self._prefix
-
-    def segment_name(self, fingerprint: str, generation: int) -> str:
-        return _segment_name(fingerprint, generation, self._prefix)
-
     def _create_tables(self, connection: sqlite3.Connection) -> None:
         connection.execute(
-            f"""
-            CREATE TABLE IF NOT EXISTS {self._segments_table} (
+            """
+            CREATE TABLE IF NOT EXISTS shm_segments (
                 fingerprint TEXT PRIMARY KEY,
                 name        TEXT NOT NULL,
                 generation  INTEGER NOT NULL,
@@ -171,8 +137,8 @@ class ShmRegistry:
             """
         )
         connection.execute(
-            f"""
-            CREATE TABLE IF NOT EXISTS {self._refs_table} (
+            """
+            CREATE TABLE IF NOT EXISTS shm_refs (
                 name       TEXT NOT NULL,
                 owner      TEXT NOT NULL,
                 expires_at REAL NOT NULL,
@@ -211,14 +177,14 @@ class ShmRegistry:
         def work(connection: sqlite3.Connection) -> PublishTicket:
             row = connection.execute(
                 "SELECT name, generation, state, owner, epoch,"
-                f" expires_at FROM {self._segments_table}"
+                " expires_at FROM shm_segments"
                 " WHERE fingerprint = ?",
                 (fingerprint,),
             ).fetchone()
             if row is None:
-                name = self.segment_name(fingerprint, 1)
+                name = _segment_name(fingerprint, 1)
                 connection.execute(
-                    f"INSERT INTO {self._segments_table} (fingerprint,"
+                    "INSERT INTO shm_segments (fingerprint,"
                     " name, generation, state, nbytes, owner, epoch,"
                     " expires_at, created_at)"
                     " VALUES (?, ?, ?, 'publishing', 0, ?, 1, ?, ?)",
@@ -231,7 +197,7 @@ class ShmRegistry:
             if holder == owner:
                 # Re-entry by the current publisher: refresh the lease.
                 connection.execute(
-                    f"UPDATE {self._segments_table} SET expires_at = ?"
+                    "UPDATE shm_segments SET expires_at = ?"
                     " WHERE fingerprint = ?",
                     (now + ttl_seconds, fingerprint),
                 )
@@ -240,9 +206,9 @@ class ShmRegistry:
                 # Expired publisher: take over with a fenced epoch bump
                 # and a fresh generation (new segment name).
                 new_generation = generation + 1
-                new_name = self.segment_name(fingerprint, new_generation)
+                new_name = _segment_name(fingerprint, new_generation)
                 connection.execute(
-                    f"UPDATE {self._segments_table} SET name = ?,"
+                    "UPDATE shm_segments SET name = ?,"
                     " generation = ?, owner = ?, epoch = epoch + 1,"
                     " expires_at = ?, created_at = ?"
                     " WHERE fingerprint = ?",
@@ -284,7 +250,7 @@ class ShmRegistry:
         def work(connection: sqlite3.Connection) -> bool:
             row = connection.execute(
                 "SELECT name, generation, state, owner FROM"
-                f" {self._segments_table} WHERE fingerprint = ?",
+                " shm_segments WHERE fingerprint = ?",
                 (fingerprint,),
             ).fetchone()
             if (
@@ -295,12 +261,12 @@ class ShmRegistry:
             ):
                 return False
             connection.execute(
-                f"UPDATE {self._segments_table} SET state = 'ready',"
+                "UPDATE shm_segments SET state = 'ready',"
                 " nbytes = ?, expires_at = ? WHERE fingerprint = ?",
                 (nbytes, now, fingerprint),
             )
             connection.execute(
-                f"INSERT OR REPLACE INTO {self._refs_table}"
+                "INSERT OR REPLACE INTO shm_refs"
                 " (name, owner, expires_at) VALUES (?, ?, ?)",
                 (row[0], owner, now + ref_ttl_seconds),
             )
@@ -315,7 +281,7 @@ class ShmRegistry:
 
         def work(connection: sqlite3.Connection) -> bool:
             cursor = connection.execute(
-                f"DELETE FROM {self._segments_table} WHERE"
+                "DELETE FROM shm_segments WHERE"
                 " fingerprint = ? AND owner = ? AND generation = ?"
                 " AND state = 'publishing'",
                 (fingerprint, owner, generation),
@@ -335,14 +301,14 @@ class ShmRegistry:
         def work(connection: sqlite3.Connection) -> SegmentInfo | None:
             row = connection.execute(
                 "SELECT name, generation, nbytes FROM"
-                f" {self._segments_table}"
+                " shm_segments"
                 " WHERE fingerprint = ? AND state = 'ready'",
                 (fingerprint,),
             ).fetchone()
             if row is None:
                 return None
             connection.execute(
-                f"INSERT OR REPLACE INTO {self._refs_table}"
+                "INSERT OR REPLACE INTO shm_refs"
                 " (name, owner, expires_at) VALUES (?, ?, ?)",
                 (row[0], owner, now + ref_ttl_seconds),
             )
@@ -356,12 +322,12 @@ class ShmRegistry:
 
         def work(connection: sqlite3.Connection) -> None:
             connection.execute(
-                f"DELETE FROM {self._segments_table} WHERE"
+                "DELETE FROM shm_segments WHERE"
                 " fingerprint = ? AND name = ?",
                 (fingerprint, name),
             )
             connection.execute(
-                f"DELETE FROM {self._refs_table} WHERE name = ?",
+                "DELETE FROM shm_refs WHERE name = ?",
                 (name,),
             )
 
@@ -373,30 +339,14 @@ class ShmRegistry:
 
         def work(connection: sqlite3.Connection) -> None:
             connection.execute(
-                f"UPDATE {self._refs_table} SET expires_at = ?"
+                "UPDATE shm_refs SET expires_at = ?"
                 " WHERE owner = ?",
                 (now + ttl_seconds, owner),
             )
             connection.execute(
-                f"UPDATE {self._segments_table} SET expires_at = ?"
+                "UPDATE shm_segments SET expires_at = ?"
                 " WHERE owner = ? AND state = 'publishing'",
                 (now + ttl_seconds, owner),
-            )
-
-        self._transact(work)
-
-    def release_ref(self, name: str, owner: str) -> None:
-        """Drop one of ``owner``'s refs (e.g. a local cache eviction).
-
-        The segment row stays; a ref-less ready segment is reclaimed by
-        the next :meth:`reap`.
-        """
-
-        def work(connection: sqlite3.Connection) -> None:
-            connection.execute(
-                f"DELETE FROM {self._refs_table} WHERE name = ?"
-                " AND owner = ?",
-                (name, owner),
             )
 
         self._transact(work)
@@ -413,36 +363,36 @@ class ShmRegistry:
             doomed = [
                 row[0]
                 for row in connection.execute(
-                    f"SELECT name FROM {self._segments_table}"
+                    "SELECT name FROM shm_segments"
                     " WHERE owner = ? AND state = 'publishing'",
                     (owner,),
                 )
             ]
             connection.execute(
-                f"DELETE FROM {self._segments_table} WHERE owner = ?"
+                "DELETE FROM shm_segments WHERE owner = ?"
                 " AND state = 'publishing'",
                 (owner,),
             )
             connection.execute(
-                f"DELETE FROM {self._refs_table} WHERE owner = ?",
+                "DELETE FROM shm_refs WHERE owner = ?",
                 (owner,),
             )
             for name, in connection.execute(
-                f"SELECT name FROM {self._segments_table}"
+                "SELECT name FROM shm_segments"
                 " WHERE state = 'ready' AND NOT EXISTS"
-                f" (SELECT 1 FROM {self._refs_table} WHERE"
-                f" {self._refs_table}.name = {self._segments_table}.name"
+                " (SELECT 1 FROM shm_refs WHERE"
+                " shm_refs.name = shm_segments.name"
                 " AND expires_at > ?)",
                 (now,),
             ).fetchall():
                 doomed.append(name)
                 connection.execute(
-                    f"DELETE FROM {self._segments_table}"
+                    "DELETE FROM shm_segments"
                     " WHERE name = ?",
                     (name,),
                 )
                 connection.execute(
-                    f"DELETE FROM {self._refs_table} WHERE name = ?",
+                    "DELETE FROM shm_refs WHERE name = ?",
                     (name,),
                 )
             return doomed
@@ -460,33 +410,33 @@ class ShmRegistry:
 
         def work(connection: sqlite3.Connection) -> list[str]:
             connection.execute(
-                f"DELETE FROM {self._refs_table} WHERE expires_at <= ?",
+                "DELETE FROM shm_refs WHERE expires_at <= ?",
                 (now,),
             )
             connection.execute(
-                f"DELETE FROM {self._refs_table} WHERE name NOT IN"
-                f" (SELECT name FROM {self._segments_table})"
+                "DELETE FROM shm_refs WHERE name NOT IN"
+                " (SELECT name FROM shm_segments)"
             )
             doomed = [
                 row[0]
                 for row in connection.execute(
-                    f"SELECT name FROM {self._segments_table} WHERE"
+                    "SELECT name FROM shm_segments WHERE"
                     " (state = 'publishing' AND expires_at <= ?)"
                     " OR (state = 'ready' AND NOT EXISTS"
-                    f" (SELECT 1 FROM {self._refs_table} WHERE"
-                    f" {self._refs_table}.name ="
-                    f" {self._segments_table}.name))",
+                    " (SELECT 1 FROM shm_refs WHERE"
+                    " shm_refs.name ="
+                    " shm_segments.name))",
                     (now,),
                 ).fetchall()
             ]
             for name in doomed:
                 connection.execute(
-                    f"DELETE FROM {self._segments_table}"
+                    "DELETE FROM shm_segments"
                     " WHERE name = ?",
                     (name,),
                 )
                 connection.execute(
-                    f"DELETE FROM {self._refs_table} WHERE name = ?",
+                    "DELETE FROM shm_refs WHERE name = ?",
                     (name,),
                 )
             return doomed
@@ -500,7 +450,7 @@ class ShmRegistry:
             return [
                 row[0]
                 for row in connection.execute(
-                    f"SELECT name FROM {self._segments_table}"
+                    "SELECT name FROM shm_segments"
                 ).fetchall()
             ]
 
@@ -512,14 +462,14 @@ class ShmRegistry:
         def work(connection: sqlite3.Connection) -> dict[str, int]:
             ready = connection.execute(
                 "SELECT COUNT(*), COALESCE(SUM(nbytes), 0) FROM"
-                f" {self._segments_table} WHERE state = 'ready'"
+                " shm_segments WHERE state = 'ready'"
             ).fetchone()
             publishing = connection.execute(
-                f"SELECT COUNT(*) FROM {self._segments_table} WHERE"
+                "SELECT COUNT(*) FROM shm_segments WHERE"
                 " state = 'publishing'"
             ).fetchone()[0]
             refs = connection.execute(
-                f"SELECT COUNT(*) FROM {self._refs_table}"
+                "SELECT COUNT(*) FROM shm_refs"
             ).fetchone()[0]
             return {
                 "ready_segments": ready[0],
@@ -535,42 +485,6 @@ class ShmRegistry:
             if self._connection is not None:
                 self._connection.close()
                 self._connection = None
-
-
-def reap_orphan_files(registry: ShmRegistry, ttl_seconds: float) -> list[str]:
-    """Unlink aged files under the registry's prefix with no row.
-
-    Belt-and-braces against crashes in the narrow window between
-    segment creation and registration: a file old enough that any
-    legitimate publish would long since have registered it, and unknown
-    to the registry, is garbage.  Shared by the index plane and the
-    plan tier (each scans its own prefix).
-    """
-    directory = "/dev/shm"
-    if not os.path.isdir(directory):  # pragma: no cover - non-Linux
-        return []
-    try:
-        entries = os.listdir(directory)
-    except OSError:  # pragma: no cover - env dependent
-        return []
-    prefix = registry.segment_prefix
-    candidates = [entry for entry in entries if entry.startswith(prefix)]
-    if not candidates:
-        return []
-    known = set(registry.known_names())
-    min_age = max(60.0, 4 * ttl_seconds)
-    now = time.time()
-    removed = []
-    for entry in candidates:
-        if entry in known:
-            continue
-        try:
-            age = now - os.stat(os.path.join(directory, entry)).st_mtime
-        except OSError:  # pragma: no cover - concurrent unlink
-            continue
-        if age >= min_age and index_shm.unlink_segment(entry):
-            removed.append(entry)
-    return removed
 
 
 class SharedIndexPlane:
@@ -774,8 +688,38 @@ class SharedIndexPlane:
         return removed
 
     def _reap_orphan_files(self) -> list[str]:
-        """Unlink aged ``repro_idx_*`` files with no registry row."""
-        return reap_orphan_files(self._registry, self._ttl)
+        """Unlink aged ``repro_idx_*`` files with no registry row.
+
+        Belt-and-braces against crashes in the narrow window between
+        segment creation and registration: a file old enough that any
+        legitimate publish would long since have registered it, and
+        unknown to the registry, is garbage.
+        """
+        directory = "/dev/shm"
+        if not os.path.isdir(directory):  # pragma: no cover - non-Linux
+            return []
+        try:
+            entries = os.listdir(directory)
+        except OSError:  # pragma: no cover - env dependent
+            return []
+        prefix = index_shm.SEGMENT_PREFIX
+        candidates = [entry for entry in entries if entry.startswith(prefix)]
+        if not candidates:
+            return []
+        known = set(self._registry.known_names())
+        min_age = max(60.0, 4 * self._ttl)
+        now = time.time()
+        removed = []
+        for entry in candidates:
+            if entry in known:
+                continue
+            try:
+                age = now - os.stat(os.path.join(directory, entry)).st_mtime
+            except OSError:  # pragma: no cover - concurrent unlink
+                continue
+            if age >= min_age and index_shm.unlink_segment(entry):
+                removed.append(entry)
+        return removed
 
     def shared_bytes(self) -> int:
         """Bytes of shared segments this process currently maps."""

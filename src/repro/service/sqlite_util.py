@@ -1,11 +1,10 @@
 """The shared SQLite coordination idiom.
 
-Three services coordinate cross-process state through one SQLite file
-beside the ``--store`` path: the session store (:mod:`.store`), the
-shared-index registry (:mod:`.shm_registry`), and the plan-cache
-registry (:mod:`.plan_registry`).  All three use the same connection
-discipline and the same retry/fencing idiom; this module is the single
-definition so the three stay byte-for-byte in agreement:
+Two services coordinate cross-process state through one SQLite file
+beside the ``--store`` path: the session store (:mod:`.store`) and the
+shared-index registry (:mod:`.shm_registry`).  Both use the same
+connection discipline and the same retry/fencing idiom; this module is
+the single definition so the two stay byte-for-byte in agreement:
 
 * :func:`connect_wal` — one connection per component, WAL mode so
   readers never block the single writer, ``synchronous=NORMAL`` (the

@@ -8,8 +8,10 @@ through the returned namespaces.
 
 from __future__ import annotations
 
+import faulthandler
 import os
 import random
+import sys
 import time
 from types import SimpleNamespace
 
@@ -159,7 +161,48 @@ _BACKGROUND_THREAD_PREFIXES = (
     "create-offload",
     "lease-heartbeat",
     "service-feed",
+    "kernel-batch",
+    "shm-plane-",
+    "repro-fleet",
 )
+
+
+#: Per-test ceiling in seconds, the ``timeout`` that ``pyproject.toml``
+#: sets for pytest-timeout.  Without that plugin the key is inert, so
+#: faulthandler enforces the ceiling instead: a test still running after
+#: it dumps every thread's stack and ends the run.
+TEST_TIMEOUT_SECONDS = 120
+
+#: A duplicate of the real stderr for the stack dump, taken while
+#: output capture is suspended (None when pytest-timeout is installed).
+_watchdog_stderr_fd: int | None = None
+
+
+def pytest_configure(config):
+    global _watchdog_stderr_fd
+    if not config.pluginmanager.hasplugin("timeout"):
+        _watchdog_stderr_fd = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    global _watchdog_stderr_fd
+    if _watchdog_stderr_fd is not None:
+        os.close(_watchdog_stderr_fd)
+        _watchdog_stderr_fd = None
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    if _watchdog_stderr_fd is None:
+        yield
+        return
+    faulthandler.dump_traceback_later(
+        TEST_TIMEOUT_SECONDS, exit=True, file=_watchdog_stderr_fd
+    )
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True, scope="session")

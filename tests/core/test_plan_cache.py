@@ -1,5 +1,5 @@
-"""The plan cache: canonical state keys, the shared-tier codec, and the
-two-tier cache's LRU/counter behaviour.
+"""The plan cache: canonical state keys and the per-process LRU's
+eviction and counter behaviour.
 
 The key properties:
 
@@ -9,10 +9,8 @@ The key properties:
 * **no collisions** — distinct indexes, depths, or labeled states never
   share a key (checked across all six Figure 7 configurations and
   across the packed-word boundary Ω ∈ {63, 64, 65}).
-* **exact decode** — a table through the codec compares equal, entry
-  for entry and *type* for type, to the planner's original.
 * **counter identity** — under the get-before-install protocol,
-  ``misses == local_hits + shared_hits + computes``.
+  ``misses == local_hits + computes``.
 """
 
 from __future__ import annotations
@@ -27,15 +25,13 @@ from repro.core import (
     Label,
     LookaheadSkylineStrategy,
     PlanCache,
-    PlanCacheError,
     SignatureIndex,
     canonical_state_key,
-    decode_table,
-    encode_table,
     plan_key_for_planner,
     resume_session,
     snapshot_session,
 )
+from repro.core.plan_cache import ENTRY_BYTES
 from repro.core.state import InferenceState
 from repro.data.synthetic import PAPER_CONFIGS, generate_synthetic
 from repro.service import instance_fingerprint
@@ -163,75 +159,6 @@ class TestCanonicalStateKey:
         )
 
 
-class TestCodec:
-    def test_roundtrip_reproduces_exact_values_and_types(self):
-        table = {
-            0: (0, 3),
-            5: (2, 2),
-            9: (math.inf, math.inf),
-            123456789: (7, math.inf),
-        }
-        decoded = decode_table(encode_table(table))
-        assert decoded == table
-        for original, back in zip(table.values(), decoded.values()):
-            for a, b in zip(original, back):
-                assert type(a) is type(b), (a, b)
-
-    def test_roundtrip_empty_table(self):
-        assert decode_table(encode_table({})) == {}
-
-    def test_real_planner_table_roundtrips(self):
-        rng = random.Random(17)
-        instance = make_random_instance(rng, 3, 3, rows=8, values=3)
-        index = SignatureIndex(instance, backend="python")
-        strategy = LookaheadSkylineStrategy(depth=2)
-        planner = strategy.planner_for(InferenceState(index))
-        table = planner.entropies()
-        assert decode_table(encode_table(table)) == table
-
-    def test_truncated_payload_rejected(self):
-        with pytest.raises(PlanCacheError, match="truncated"):
-            decode_table(b"\x00" * 4)
-
-    def test_bad_magic_rejected(self):
-        payload = bytearray(encode_table({1: (2, 3)}))
-        payload[:8] = b"NOTAPLAN"
-        with pytest.raises(PlanCacheError, match="magic"):
-            decode_table(bytes(payload))
-
-    def test_size_mismatch_rejected(self):
-        payload = encode_table({1: (2, 3), 2: (4, 5)})
-        with pytest.raises(PlanCacheError, match="size mismatch"):
-            decode_table(payload[:-8])
-
-
-class FakeSharedTier:
-    """In-memory stand-in for SharedPlanTier (same duck type)."""
-
-    def __init__(self):
-        self.payloads: dict[str, bytes] = {}
-        self.released: list[str] = []
-        self.published: list[str] = []
-        self.closed = False
-
-    def get(self, key):
-        return self.payloads.get(key)
-
-    def publish(self, key, payload):
-        self.payloads[key] = payload
-        self.published.append(key)
-        return True
-
-    def release(self, key):
-        self.released.append(key)
-
-    def stats(self):
-        return {"entries": len(self.payloads)}
-
-    def close(self):
-        self.closed = True
-
-
 TABLE = {1: (0, 2), 2: (math.inf, math.inf)}
 
 
@@ -247,15 +174,11 @@ class TestPlanCache:
         assert cache.get("k") == TABLE  # local hit
         stats = cache.stats()
         assert stats["misses"] == 2
-        assert stats["misses"] == (
-            stats["local_hits"]
-            + stats["shared_hits"]
-            + stats["computes"]
-        )
+        assert stats["misses"] == stats["local_hits"] + stats["computes"]
         assert stats["local_hits"] == 1
         assert stats["computes"] == 1
         assert stats["entries"] == 1
-        assert stats["resident_bytes"] == len(encode_table(TABLE))
+        assert stats["resident_bytes"] == ENTRY_BYTES * len(TABLE)
 
     def test_lru_evicts_least_recently_used(self):
         cache = PlanCache(2)
@@ -266,61 +189,9 @@ class TestPlanCache:
         cache.get("c")
         cache.install("c", TABLE)
         assert len(cache) == 2
-        assert cache.get("b", probe_shared=False) is None
-        assert cache.get("a", probe_shared=False) is not None
-        assert cache.stats()["evictions"] == 1
-
-    def test_shared_hit_decodes_and_caches_locally(self):
-        shared = FakeSharedTier()
-        shared.payloads["k"] = encode_table(TABLE)
-        cache = PlanCache(8, shared=shared)
-        assert cache.get("k") == TABLE
+        assert cache.get("b") is None
+        assert cache.get("a") is not None
         stats = cache.stats()
-        assert stats["shared_hits"] == 1
-        assert stats["computes"] == 0
-        # Now resident locally: the next hit never touches the tier.
-        shared.payloads.clear()
-        assert cache.get("k") == TABLE
-        assert cache.stats()["local_hits"] == 1
-        assert cache.stats()["shared"] == shared.stats()
-
-    def test_probe_shared_false_skips_the_tier(self):
-        shared = FakeSharedTier()
-        shared.payloads["k"] = encode_table(TABLE)
-        cache = PlanCache(8, shared=shared)
-        assert cache.get("k", probe_shared=False) is None
-        assert cache.stats()["shared_hits"] == 0
-
-    def test_install_publishes_and_publish_false_does_not(self):
-        shared = FakeSharedTier()
-        cache = PlanCache(8, shared=shared)
-        cache.get("a")
-        cache.install("a", TABLE)
-        cache.get("b")
-        cache.install("b", TABLE, publish=False)
-        assert shared.published == ["a"]
-        assert cache.stats()["publishes"] == 1
-
-    def test_eviction_releases_the_shared_ref(self):
-        shared = FakeSharedTier()
-        cache = PlanCache(1, shared=shared)
-        cache.get("a")
-        cache.install("a", TABLE)
-        cache.get("b")
-        cache.install("b", TABLE)
-        assert shared.released == ["a"]
-
-    def test_corrupt_shared_payload_degrades_to_miss(self):
-        shared = FakeSharedTier()
-        shared.payloads["k"] = b"garbage"
-        cache = PlanCache(8, shared=shared)
-        assert cache.get("k") is None
-        stats = cache.stats()
-        assert stats["decode_errors"] == 1
-        assert stats["shared_hits"] == 0
-
-    def test_close_closes_the_tier(self):
-        shared = FakeSharedTier()
-        cache = PlanCache(8, shared=shared)
-        cache.close()
-        assert shared.closed
+        assert stats["evictions"] == 1
+        # Evicted tables stop counting toward the resident size.
+        assert stats["resident_bytes"] == 2 * ENTRY_BYTES * len(TABLE)

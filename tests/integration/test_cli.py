@@ -1,11 +1,22 @@
-"""CLI integration tests (in-process via cli.main)."""
+"""CLI integration tests (in-process via cli.main, plus ``serve`` as a
+subprocess for its signal handling)."""
 
 import io
+import os
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.index_shm import shared_memory_available
 from repro.relational import Relation, write_csv
+from repro.service import ServiceClient, SqliteSessionStore
+
+SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestParser:
@@ -187,3 +198,63 @@ class TestExperimentCommand:
         monkeypatch.setattr(cli_module, "_cmd_experiment", fake_experiment)
         assert main(["experiment", "table1"]) == 0
         assert "interactions" in capsys.readouterr().out
+
+
+def _shm_segments() -> set[str]:
+    directory = "/dev/shm"
+    if not os.path.isdir(directory):  # pragma: no cover - non-Linux
+        return set()
+    return {name for name in os.listdir(directory) if name.startswith("repro_")}
+
+
+class TestServeShutdown:
+    def test_sigterm_shuts_down_cleanly(self, tmp_path):
+        """SIGTERM on a single-process ``serve`` runs the same shutdown
+        as Ctrl-C: exit status 0, the answer journaled in the store, and
+        the shared index segment unlinked."""
+        store_path = tmp_path / "sessions.db"
+        before = _shm_segments()
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = SRC_DIR + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--store", str(store_path), "--shared-index",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            ready, _, _ = select.select([server.stdout], [], [], 60)
+            assert ready, "serve never reported its address"
+            banner = server.stdout.readline()
+            assert "listening on" in banner, banner
+            port = int(banner.rsplit(":", 1)[1])
+            with ServiceClient("127.0.0.1", port) as client:
+                info = client.create_session(
+                    workload="tpch/join2", strategy="L1S", seed=3
+                )
+                session_id = info["session_id"]
+                question = client.next_question(session_id)
+                client.post_answer(session_id, question["question_id"], "-")
+            if shared_memory_available():
+                assert _shm_segments() - before, "no index segment published"
+            server.send_signal(signal.SIGTERM)
+            output, _ = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, output
+        store = SqliteSessionStore(str(store_path))
+        try:
+            stored = store.load(session_id)
+        finally:
+            store.close()
+        assert stored is not None
+        assert len(stored.payload["labeled"]) == 1
+        assert _shm_segments() - before == set()

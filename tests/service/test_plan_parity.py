@@ -18,11 +18,9 @@ from concurrent.futures import wait as wait_futures
 import pytest
 
 from repro.core import (
-    InferenceSession,
     Label,
     PerfectOracle,
     SignatureIndex,
-    index_shm,
     run_inference,
     strategy_by_name,
 )
@@ -31,7 +29,6 @@ from repro.data import generate_tpch, tpch_workloads
 from repro.service import (
     IndexCache,
     SessionManager,
-    SharedPlanTier,
     SqliteSessionStore,
 )
 from repro.service.protocol import CreateSpec
@@ -95,17 +92,13 @@ def drive(manager, managed, oracle, limit=None):
 
 def assert_identity(stats):
     """The protocol-level counter identity of the plan cache."""
-    assert stats["misses"] == (
-        stats["local_hits"] + stats["shared_hits"] + stats["computes"]
-    ), stats
+    assert stats["misses"] == stats["local_hits"] + stats["computes"], stats
 
 
 class TestCacheOnOffParity:
     @pytest.mark.parametrize("left,right", OMEGA_BOUNDARY)
     @pytest.mark.parametrize("strategy", SERVING_STRATEGIES)
-    def test_word_boundary_sequences_identical(
-        self, strategy, left, right, tmp_path
-    ):
+    def test_word_boundary_sequences_identical(self, strategy, left, right):
         instance = boundary_instance(left, right)
         assert len(instance.omega) in (63, 64, 65)
         seed = left * right
@@ -113,12 +106,7 @@ class TestCacheOnOffParity:
         off = SessionManager(
             index_cache=IndexCache(), speculate=False, plan_cache=False
         )
-        shared = SharedPlanTier.if_available(
-            tmp_path / "plan.db", "parity", ttl_seconds=5.0
-        )
-        on = SessionManager(
-            index_cache=IndexCache(), speculate=False, shared_plan=shared
-        )
+        on = SessionManager(index_cache=IndexCache(), speculate=False)
         try:
             baseline = drive(
                 off,
@@ -153,7 +141,7 @@ class TestCacheOnOffParity:
             off.close(wait=True)
             on.close(wait=True)
 
-    def test_depth3_and_reference_mode_parity(self, tmp_path):
+    def test_depth3_and_reference_mode_parity(self):
         """Depth-3 and the non-vectorised reference kernel follow the
         same route; the cache must be invisible there too."""
         instance = boundary_instance(3, 3, rows=7, seed=2)
@@ -223,10 +211,8 @@ class TestSpeculationParity:
             deadline = time.monotonic() + 15
             while True:
                 plan = manager.stats()["plan_cache"]
-                settled = plan["misses"] == (
-                    plan["local_hits"]
-                    + plan["shared_hits"]
-                    + plan["computes"]
+                settled = (
+                    plan["misses"] == plan["local_hits"] + plan["computes"]
                 )
                 if settled or time.monotonic() > deadline:
                     break
@@ -279,11 +265,7 @@ class TestSpeculationFastPath:
         while time.monotonic() < deadline:
             stats = manager.stats()
             plan = stats["plan_cache"]
-            done = plan["misses"] == (
-                plan["local_hits"]
-                + plan["shared_hits"]
-                + plan["computes"]
-            )
+            done = plan["misses"] == plan["local_hits"] + plan["computes"]
             if done and stats["kernel_batch"]["pending_jobs"] == 0:
                 return stats
             time.sleep(0.02)
@@ -341,9 +323,8 @@ class TestRehydrateParity:
         self, strategy, tmp_path
     ):
         """Worker A answers half the session and is abandoned without a
-        drain; worker B (fresh process-level cache, same shared tier)
-        rehydrates from the store and must propose the identical
-        remaining sequence — seeded by A's published tables."""
+        drain; worker B (its own, cold plan cache) rehydrates from the
+        store and must propose the identical remaining sequence."""
         instance = boundary_instance(8, 8, rows=5, seed=3)
         seed = 21
         oracle = BiasedCoin(seed)
@@ -363,32 +344,27 @@ class TestRehydrateParity:
         split = len(baseline) // 2
 
         db = tmp_path / "fleet.db"
-        tier_a = SharedPlanTier.if_available(db, "wA", ttl_seconds=5.0)
         worker_a = SessionManager(
             index_cache=IndexCache(),
             speculate=False,
             store=SqliteSessionStore(str(db)),
             checkpoint_every=2,
-            shared_plan=tier_a,
         )
         managed = worker_a.create(inline_spec(instance, strategy, seed))
         session_id = managed.session_id
         first_half = drive(worker_a, managed, oracle, limit=split)
-        # A proposes one more question (scoring — and publishing — the
-        # exact state B will resume at) but "crashes" before the answer:
-        # from here on A serves nothing and B takes over from the store
-        # (checkpoint + journal tail, exactly what a kill -9 leaves;
-        # A's published segments outlive it until its refs expire).
+        # A proposes one more question (scoring the exact state B will
+        # resume at) but "crashes" before the answer: from here on A
+        # serves nothing and B takes over from the store (checkpoint +
+        # journal tail, exactly what a kill -9 leaves).
         worker_a.propose_question(managed)
         worker_a.flush_store()
 
-        tier_b = SharedPlanTier.if_available(db, "wB", ttl_seconds=5.0)
         worker_b = SessionManager(
             index_cache=IndexCache(),
             speculate=False,
             store=SqliteSessionStore(str(db)),
             checkpoint_every=2,
-            shared_plan=tier_b,
         )
         try:
             rehydrated = worker_b.get(session_id)
@@ -397,10 +373,9 @@ class TestRehydrateParity:
             assert first_half + rest == baseline
             plan = worker_b.stats()["plan_cache"]
             assert_identity(plan)
-            if index_shm.shared_memory_available():
-                # B's first proposal lands on the exact state A last
-                # scored and published: a cross-process shared hit.
-                assert plan["shared_hits"] >= 1
+            # B's cache starts cold: it scores every remaining state
+            # itself rather than reusing anything A computed.
+            assert plan["computes"] >= 1
         finally:
             worker_a.close(wait=True)
             worker_a.store.close()

@@ -362,12 +362,47 @@ class TestPlanCacheStats:
             assert plan["enabled"]
             assert plan == client.stats()["plan_cache"]
             assert plan["computes"] >= 1
-            assert plan["misses"] == (
-                plan["local_hits"]
-                + plan["shared_hits"]
-                + plan["computes"]
-            )
+            assert plan["misses"] == plan["local_hits"] + plan["computes"]
             client.close()
+
+    def test_served_l2s_sessions_keep_the_counter_identity(self, join4):
+        """Two full L2S sessions over HTTP, the second replaying the
+        first: every cache probe resolves as exactly one local hit or
+        one compute, and the replay is served from the cache."""
+        oracle = PerfectOracle(join4.instance, join4.goal)
+        manager = SessionManager(speculate=False)
+        with ServiceServer(manager=manager) as server:
+            with ServiceClient(server.host, server.port) as client:
+                finals = []
+                for _ in range(2):
+                    info = client.create_session(
+                        workload=WORKLOAD_NAME,
+                        strategy="L2S",
+                        seed=7,
+                        workload_seed=TPCH_SEED,
+                        scale=TPCH_SCALE,
+                    )
+                    finals.append(
+                        client.drive(
+                            info["session_id"], remote_answerer(oracle)
+                        )
+                    )
+                plan = client.plan_cache_stats()
+        assert finals[0]["progress"]["done"]
+        assert finals[0]["predicate"] == finals[1]["predicate"]
+        assert set(plan) == {
+            "enabled",
+            "entries",
+            "max_entries",
+            "resident_bytes",
+            "misses",
+            "local_hits",
+            "computes",
+            "evictions",
+        }
+        assert plan["misses"] == plan["local_hits"] + plan["computes"]
+        assert plan["computes"] >= 1
+        assert plan["local_hits"] >= plan["computes"]
 
     def test_disabled_cache_reports_enabled_false(self):
         manager = SessionManager(speculate=False, plan_cache=False)

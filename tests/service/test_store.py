@@ -389,7 +389,8 @@ class TestDemoteRehydrate:
         managed = manager.create(inline_spec(instance, "L1S", seed=21))
         manager.flush_store()
         store2 = SqliteSessionStore(path)
-        recovered = make_manager(store=store2).get(managed.session_id)
+        manager2 = make_manager(store=store2)
+        recovered = manager2.get(managed.session_id)
         assert recovered.session.state.interaction_count == 0
         oracle = BiasedCoin(5)
         first = recovered.session.propose()
@@ -401,6 +402,7 @@ class TestDemoteRehydrate:
         )
         assert first.class_id == twin.propose().class_id
         manager.close(wait=True)
+        manager2.close(wait=True)
         store.close()
         store2.close()
 

@@ -93,7 +93,6 @@ class TestPlanSuite:
             "plan_cache_gate_min": 3.0,
             "plan_cache_misses": 32,
             "plan_cache_local_hits": 16,
-            "plan_cache_shared_hits": 0,
             "plan_cache_computes": 16,
         }
         base.update(overrides)
@@ -173,7 +172,7 @@ class TestPlanSuite:
         assert failed_names(gates) == ["plan_cache_warm_p95"]
 
     def test_plan_cache_counter_identity_rederived(self):
-        """misses == local_hits + shared_hits + computes, recomputed
+        """misses == local_hits + computes, recomputed
         from the raw counters (a dropped install would break it)."""
         report = self.acceptance(plan_cache_computes=15)
         gates = check_trajectory.check_plan(report, {})
@@ -329,11 +328,9 @@ class TestFleetSuite:
             "recovery_parity",
             "scaling_parity",
             "takeover_vs_baseline",
-            # No shared_index / plan_cache cells => unsupported platform
-            # semantics: both planes degrade to per-process behaviour
-            # and pass trivially.
+            # No shared_index cell => unsupported platform semantics:
+            # the plane degrades to private builds and passes trivially.
             "shared_index_supported",
-            "plan_cache_supported",
         }
 
     def test_speedup_rederived_from_raw_rates(self):
@@ -543,84 +540,6 @@ class TestSharedIndexGates:
         gates = check_trajectory.check_fleet(report, {})
         assert failed_names(gates) == []
         assert "shared_index_memory" in ok_names(gates)
-
-
-class TestPlanCacheFleetGates:
-    def report(
-        self,
-        supported=True,
-        shared_hits=25,
-        parity=True,
-        leaked=[],
-    ):
-        return {
-            "plan_cache": {
-                "supported": supported,
-                "questions_per_session": 25,
-                "counters": {"shared_hits_total": shared_hits},
-                "parity_checked": parity,
-                "leaked_segments": leaked,
-            }
-        }
-
-    def gates(self, report):
-        return check_trajectory._plan_cache_fleet_gates(report)
-
-    def test_healthy_cell_passes(self):
-        gates = self.gates(self.report())
-        assert failed_names(gates) == []
-        assert set(ok_names(gates)) == {
-            "plan_cross_worker_hits",
-            "plan_no_leaked_segments",
-        }
-
-    def test_unsupported_platform_passes_trivially(self):
-        gates = self.gates(self.report(supported=False))
-        assert failed_names(gates) == []
-        assert ok_names(gates) == ["plan_cache_supported"]
-
-    def test_zero_cross_worker_hits_fail(self):
-        """Workers each recomputing every table is exactly the failure
-        the machine-wide tier exists to remove."""
-        gates = self.gates(self.report(shared_hits=0))
-        assert failed_names(gates) == ["plan_cross_worker_hits"]
-
-    def test_unchecked_parity_fails(self):
-        """Counters from diverged sessions prove nothing."""
-        gates = self.gates(self.report(parity=False))
-        assert failed_names(gates) == ["plan_cross_worker_hits"]
-
-    def test_leaked_segments_fail(self):
-        gates = self.gates(
-            self.report(leaked=["repro_plan_deadbeef_g1"])
-        )
-        assert failed_names(gates) == ["plan_no_leaked_segments"]
-
-    def test_missing_leak_sweep_fails(self):
-        """A cell that never swept /dev/shm must fail loudly, not pass
-        vacuously."""
-        gates = self.gates(self.report(leaked=None))
-        assert failed_names(gates) == ["plan_no_leaked_segments"]
-
-    def test_gates_ride_along_in_check_fleet(self):
-        report = {
-            "scaling": {
-                "by_workers": {
-                    "1": {"sessions_per_sec": 50.0},
-                    "2": {"sessions_per_sec": 80.0},
-                }
-            },
-            "acceptance": {
-                "cpu_count": 2,
-                "takeover_seconds": 1.0,
-                "recovery_parity": True,
-                "scaling_parity": True,
-            },
-        }
-        report.update(self.report())
-        gates = check_trajectory.check_fleet(report, {})
-        assert failed_names(gates) == []
-        assert "plan_cross_worker_hits" in ok_names(gates)
 
 
 class TestStreamSuite:
